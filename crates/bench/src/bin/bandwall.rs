@@ -1,7 +1,7 @@
 //! `bandwall` — the unified experiment runner.
 //!
-//! One binary over the whole registry, replacing 29 per-figure binaries
-//! for day-to-day use (those remain as thin aliases):
+//! The one binary over the whole registry: every experiment runs
+//! through `bandwall run <id>`.
 //!
 //! ```text
 //! bandwall list                         # every experiment id + title
@@ -32,7 +32,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use bandwall_experiments::error::ExperimentError;
-use bandwall_experiments::fault::ChaosSpec;
+use bandwall_experiments::fault::{panic_message, ChaosSpec};
 use bandwall_experiments::perf::{run_group, BenchGroup, BenchOptions, GROUPS};
 use bandwall_experiments::registry::{registry_with_seed, Experiment};
 use bandwall_experiments::report::Report;
@@ -64,7 +64,7 @@ OPTIONS:
                                 count)
     --seed <N>                  derive a fresh seed for every seeded
                                 experiment (default: historical seeds,
-                                byte-compatible with the legacy binaries)
+                                byte-compatible with the golden reports)
     --timeout <SECS>            per-experiment wall-clock deadline; an
                                 overrunning experiment becomes a failure
                                 report (default: no deadline)
@@ -246,17 +246,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     Ok(run)
 }
 
-/// Extracts the human-readable message from a panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Runs one experiment with panics contained: a panic unwinds into a
 /// structured failure report instead of taking down the worker.
 fn run_caught(experiment: &dyn Experiment) -> Report {
@@ -266,7 +255,11 @@ fn run_caught(experiment: &dyn Experiment) -> Report {
             experiment.id(),
             experiment.figure(),
             experiment.title(),
-            ExperimentError::Panicked(panic_message(payload)),
+            ExperimentError::Panicked(
+                panic_message(&*payload)
+                    .unwrap_or("non-string panic payload")
+                    .to_string(),
+            ),
         ),
     }
 }

@@ -20,6 +20,7 @@
 
 use crate::error::ExperimentError;
 use bandwall_numerics::rng::Rng;
+use std::any::Any;
 use std::time::Duration;
 
 /// One concrete fault to commit at a fault point.
@@ -196,9 +197,29 @@ impl Injector {
     }
 }
 
+/// The message a caught panic carries: the payload of `panic!("...")`
+/// (`&str`) or of a formatted `panic!` (`String`). `None` for any other
+/// payload type; each caller supplies its own fallback text.
+pub fn panic_message(payload: &(dyn Any + Send)) -> Option<&str> {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn panic_message_reads_str_and_string_payloads() {
+        let literal = std::panic::catch_unwind(|| panic!("literal")).unwrap_err();
+        assert_eq!(panic_message(&*literal), Some("literal"));
+        let formatted = std::panic::catch_unwind(|| panic!("{} {}", "formatted", 7)).unwrap_err();
+        assert_eq!(panic_message(&*formatted), Some("formatted 7"));
+        let other: Box<dyn Any + Send> = Box::new(42u32);
+        assert_eq!(panic_message(&*other), None);
+    }
 
     #[test]
     fn trigger_commits_each_fault_kind() {

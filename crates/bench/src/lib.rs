@@ -1,12 +1,14 @@
 //! Experiment harness for the bandwidth-wall reproduction.
 //!
-//! One binary per paper figure/table lives in `src/bin/`; this library
-//! holds the shared presentation helpers (aligned tables, ASCII bars,
-//! paper-vs-measured comparison rows) and the common experiment
-//! parameters, so every binary prints its figure the same way:
+//! Every paper figure and table is an [`experiments`] module registered
+//! in [`registry`]; the one `bandwall` binary (`src/bin/bandwall.rs`)
+//! runs them, and [`report`] renders each result as ASCII, CSV or JSON.
+//! This library also holds the shared presentation helpers (aligned
+//! tables, ASCII bars, paper-vs-measured comparison rows) and the common
+//! experiment parameters, so every experiment prints the same way:
 //!
 //! ```text
-//! cargo run -p bandwall-experiments --bin fig02_traffic_vs_cores
+//! cargo run --release -p bandwall-experiments --bin bandwall -- run fig02_traffic_vs_cores
 //! ```
 
 #![forbid(unsafe_code)]
@@ -24,12 +26,7 @@ pub mod sweep;
 
 pub use bandwall_model::roadmap::{die_budget, paper_baseline, GENERATIONS, GENERATION_LABELS};
 
-/// Prints the standard experiment header.
-pub fn header(figure: &str, title: &str) {
-    print!("{}", header_string(figure, title));
-}
-
-/// The standard experiment header as a string (what [`header`] prints).
+/// The standard experiment header banner.
 pub fn header_string(figure: &str, title: &str) -> String {
     format!(
         "================================================================\n\

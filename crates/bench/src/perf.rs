@@ -29,8 +29,8 @@
 use crate::registry;
 use crate::report::{Report, TableBlock, Value};
 use bandwall_cache_sim::{
-    CacheConfig, CmpSimConfig, CompressorKind, EngineSimConfig, ExactCompressorKind, FillSpec,
-    L2Organization, ProfileKind, ReplacementPolicy, ValueSpec,
+    CacheConfig, CmpSimConfig, CompressorKind, EngineSimConfig, FillSpec, L2Organization,
+    ProfileKind, ReplacementPolicy, ValueSpec,
 };
 use bandwall_compress::{Bdi, BestOf, Compressor, Fpc, ZeroRle};
 use bandwall_trace::values::{LineValueGenerator, ValueProfile};
@@ -330,7 +330,7 @@ fn sim_engine_results(options: &BenchOptions) -> Vec<BenchResult> {
         &fig14_sim(),
         "fig14_sim",
         "Figure 14 CMP simulation",
-        &[2, 4, 8],
+        &[2, 4],
         &mut results,
     );
     // Random replacement and mismatched L1/L2 line sizes: the two
@@ -418,27 +418,6 @@ fn sim_engine_results(options: &BenchOptions) -> Vec<BenchResult> {
         }
         results.push(r);
     }
-    // The opt-in sampled size estimator next to the exact default, so the
-    // accuracy-for-speed trade documented in EXPERIMENTS.md stays
-    // measured.
-    let sampled_sim = engine_sim(FillSpec::Compressed {
-        compressor: CompressorKind::Sampled {
-            inner: ExactCompressorKind::Fpc,
-            period: 8,
-        },
-        values: commercial_values,
-    });
-    results.push(BenchResult::from_samples(
-        "compressed_sampled_sim_seq",
-        "compressed cache simulation (sampled sizes, period 8), 1-bank baseline",
-        1,
-        accesses as u64,
-        "accesses",
-        time_samples(options, || {
-            replay.rewind();
-            std::hint::black_box(sampled_sim.run(&mut replay, accesses, 1));
-        }),
-    ));
     results
 }
 
@@ -706,7 +685,6 @@ mod tests {
                 "fig14_sim_seq",
                 "fig14_sim_par2",
                 "fig14_sim_par4",
-                "fig14_sim_par8",
                 "random_sim_seq",
                 "random_sim_par4",
                 "mismatched_sim_seq",
@@ -714,8 +692,7 @@ mod tests {
                 "sectored_sim_seq",
                 "sectored_sim_par4",
                 "compressed_sim_seq",
-                "compressed_sim_par4",
-                "compressed_sampled_sim_seq"
+                "compressed_sim_par4"
             ]
         );
         for r in &g.results {

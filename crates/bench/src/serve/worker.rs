@@ -18,7 +18,7 @@
 //! containment boundary, so an injected worker death exercises the
 //! supervisor's respawn path without ever eating a request.
 
-use crate::fault::{Fault, FaultPoint, Injector};
+use crate::fault::{panic_message, Fault, FaultPoint, Injector};
 use crate::serve::api::{
     batch_body, error_body, solve_fragment, sweep_body, techniques_body, wrap_ok, ApiError,
     ApiRequest, BatchJob, BatchRequest, Endpoint, ErrorKind as ApiErrorKind, RouteMatch,
@@ -217,21 +217,15 @@ fn deadline_response() -> Response {
     error_response(&deadline_error())
 }
 
-/// Extracts a panic payload's message for the `internal` envelope.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied())
-        .unwrap_or("handler panicked")
-}
-
 fn panic_response(payload: &(dyn std::any::Any + Send)) -> Response {
     Response {
         status: 500,
         body: error_body(
             ApiErrorKind::Internal,
-            &format!("contained panic: {}", panic_message(payload)),
+            &format!(
+                "contained panic: {}",
+                panic_message(payload).unwrap_or("handler panicked")
+            ),
         ),
         cache: None,
         close: false,
@@ -435,7 +429,10 @@ fn run_job(ctx: &ServeContext, job: &Result<BatchJob, ApiError>, deadline: Insta
     match outcome {
         Err(payload) => error_body(
             ApiErrorKind::Internal,
-            &format!("contained panic: {}", panic_message(&*payload)),
+            &format!(
+                "contained panic: {}",
+                panic_message(&*payload).unwrap_or("handler panicked")
+            ),
         ),
         Ok(Err(error)) => error.body(),
         Ok(Ok(body)) => body,

@@ -1,6 +1,8 @@
-//! Binary-level tests for `bandwall bench` and for the `--seed`/`--jobs`
-//! determinism contract of `bandwall run`.
+//! Binary-level tests for `bandwall bench`, for the default ASCII
+//! output of `bandwall run`, and for the `--seed`/`--jobs` determinism
+//! contract of `bandwall run`.
 
+use bandwall_experiments::registry::find;
 use std::process::Command;
 
 fn bandwall(args: &[&str]) -> std::process::Output {
@@ -112,5 +114,22 @@ fn run_output_is_independent_of_jobs() {
     // All three reports present, in registry order.
     for id in subset {
         assert!(serial.contains(&format!("\"id\":\"{id}\"")), "{id} missing");
+    }
+}
+
+#[test]
+fn run_prints_the_registry_ascii_report() {
+    // `bandwall run <id>` is the one entry point per experiment: with the
+    // default format its stdout is exactly the registry report's ASCII
+    // rendering, banner included, for two analytic figures.
+    for id in ["fig02_traffic_vs_cores", "fig13_data_sharing"] {
+        let out = bandwall(&["run", id]);
+        assert!(
+            out.status.success(),
+            "{id}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let expected = find(id).expect("registered id").run_to_report().to_ascii();
+        assert_eq!(String::from_utf8(out.stdout).unwrap(), expected, "{id}");
     }
 }
