@@ -12,7 +12,7 @@ use crate::error::ExperimentError;
 use crate::paper_baseline;
 use crate::registry::Experiment;
 use crate::report::{Report, TableBlock, Value};
-use bandwall_cache_sim::{CacheConfig, PredictiveSectoredCache, SectoredCache};
+use bandwall_cache_sim::{CacheConfig, SectoredCache};
 use bandwall_model::{ScalingProblem, Technique};
 use bandwall_trace::{StackDistanceTrace, TraceSource};
 
@@ -65,12 +65,16 @@ impl Experiment for PredictorStudy {
             demand.access(a.address(), a.kind().is_write());
         }
 
-        let mut predictive = PredictiveSectoredCache::new(config, 8);
+        let mut predictive = SectoredCache::new(config, 8).with_footprint_prediction();
         let mut trace = self.workload();
         for a in trace.iter().take(ACCESSES) {
             predictive.access(a.address(), a.kind().is_write());
         }
 
+        let overfetch = predictive
+            .footprint()
+            .map(|f| f.overfetch_fraction())
+            .expect("prediction enabled");
         let oracle_savings = 0.375; // the static unused fraction
 
         let mut table = TableBlock::new(&[
@@ -97,10 +101,7 @@ impl Experiment for PredictorStudy {
                 predictive.fetch_savings(),
             ),
             Value::int(predictive.stats().misses()),
-            Value::fmt(
-                format!("{:.1}%", predictive.overfetch_fraction() * 100.0),
-                predictive.overfetch_fraction(),
-            ),
+            Value::fmt(format!("{:.1}%", overfetch * 100.0), overfetch),
             Value::int(cores_for(predictive.fetch_savings())?),
         ]);
         table.push_row(vec![

@@ -15,6 +15,7 @@ use crate::registry::Experiment;
 use crate::report::{Report, TableBlock, Value};
 use crate::{die_budget, paper_baseline, GENERATION_LABELS};
 use bandwall_model::{Alpha, ScalingProblem};
+use bandwall_numerics::stats::percentile;
 use bandwall_numerics::Rng;
 
 const SAMPLES: usize = 2000;
@@ -31,11 +32,6 @@ fn sample_alpha(rng: &mut Rng) -> f64 {
             return alpha;
         }
     }
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 /// Sensitivity study: Monte Carlo over α plus per-core demand sweep.
@@ -79,13 +75,14 @@ impl Experiment for Sensitivity {
             cores.sort_unstable();
             let point =
                 ScalingProblem::new(paper_baseline(), die_budget(g)).max_supportable_cores()?;
-            let median = percentile(&cores, 0.50);
+            let quantile = |q| percentile(&cores, q).expect("SAMPLES > 0");
+            let median = quantile(0.50);
             report.metric(format!("median_cores[{label}]"), median as f64, None);
             table.push_row(vec![
                 Value::text(label),
-                Value::int(percentile(&cores, 0.10)),
+                Value::int(quantile(0.10)),
                 Value::int(median),
-                Value::int(percentile(&cores, 0.90)),
+                Value::int(quantile(0.90)),
                 Value::int(point),
             ]);
         }

@@ -33,6 +33,7 @@ use bandwall_cache_sim::{
     ProfileKind, ReplacementPolicy, ValueSpec,
 };
 use bandwall_compress::{Bdi, BestOf, Compressor, Fpc, ZeroRle};
+use bandwall_numerics::stats::percentile;
 use bandwall_trace::values::{LineValueGenerator, ValueProfile};
 use bandwall_trace::{materialize, ParsecLikeTrace, ReplayTrace};
 use std::time::Instant;
@@ -130,10 +131,7 @@ impl BenchResult {
 
     /// Nearest-rank percentile of the samples (`p` in 0..=100).
     pub fn percentile_ns(&self, p: f64) -> u64 {
-        let n = self.samples_ns.len();
-        assert!(n > 0, "no samples");
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        self.samples_ns[rank.clamp(1, n) - 1]
+        percentile(&self.samples_ns, p / 100.0).expect("no samples")
     }
 
     /// Median sample.

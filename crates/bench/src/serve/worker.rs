@@ -217,16 +217,31 @@ fn deadline_response() -> Response {
     error_response(&deadline_error())
 }
 
-fn panic_response(payload: &(dyn std::any::Any + Send)) -> Response {
-    Response {
-        status: 500,
-        body: error_body(
+/// The containment boundary: commits an injected [`Fault::Panic`], runs
+/// `work`, and turns any panic inside — injected or organic — into the
+/// body of a structured `internal` reply instead of a dead worker.
+fn contained<T>(fault: Option<&Fault>, work: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        if let Some(Fault::Panic(message)) = fault {
+            panic!("{}", message.clone());
+        }
+        work()
+    }))
+    .map_err(|payload| {
+        error_body(
             ApiErrorKind::Internal,
             &format!(
                 "contained panic: {}",
-                panic_message(payload).unwrap_or("handler panicked")
+                panic_message(&*payload).unwrap_or("handler panicked")
             ),
-        ),
+        )
+    })
+}
+
+fn internal_response(body: String) -> Response {
+    Response {
+        status: 500,
+        body,
         cache: None,
         close: false,
     }
@@ -324,16 +339,8 @@ fn solve(
     problem: &ScalingProblem,
     deadline: Instant,
 ) -> Response {
-    // Containment boundary: an injected (or organic) panic inside the
-    // solve becomes a structured `internal` reply, not a dead worker.
-    let solved = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(Fault::Panic(message)) = &fault {
-            panic!("{}", message.clone());
-        }
-        memo_fragment(ctx, problem)
-    }));
-    match solved {
-        Err(payload) => panic_response(&*payload),
+    match contained(fault.as_ref(), || memo_fragment(ctx, problem)) {
+        Err(body) => internal_response(body),
         Ok(Err(message)) => error_response(&ApiError::new(ApiErrorKind::InvalidRequest, message)),
         Ok(Ok((fragment, hit))) => {
             if Instant::now() > deadline {
@@ -392,14 +399,8 @@ fn run_sweep(
     sweep: &SweepRequest,
     deadline: Instant,
 ) -> Response {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(Fault::Panic(message)) = &fault {
-            panic!("{}", message.clone());
-        }
-        sweep_outcome(ctx, sweep, deadline)
-    }));
-    match outcome {
-        Err(payload) => panic_response(&*payload),
+    match contained(fault.as_ref(), || sweep_outcome(ctx, sweep, deadline)) {
+        Err(body) => internal_response(body),
         Ok(Err(error)) => error_response(&error),
         Ok(Ok((body, all_hit))) => Response {
             cache: Some(if all_hit { "hit" } else { "miss" }),
@@ -420,20 +421,14 @@ fn run_job(ctx: &ServeContext, job: &Result<BatchJob, ApiError>, deadline: Insta
     if Instant::now() > deadline {
         return deadline_error().body();
     }
-    let outcome = catch_unwind(AssertUnwindSafe(|| match job {
+    let outcome = contained(None, || match job {
         BatchJob::Solve(problem) => memo_fragment(ctx, problem)
             .map(|(fragment, _)| wrap_ok(&fragment))
             .map_err(|message| ApiError::new(ApiErrorKind::InvalidRequest, message)),
         BatchJob::Sweep(sweep) => sweep_outcome(ctx, sweep, deadline).map(|(body, _)| body),
-    }));
+    });
     match outcome {
-        Err(payload) => error_body(
-            ApiErrorKind::Internal,
-            &format!(
-                "contained panic: {}",
-                panic_message(&*payload).unwrap_or("handler panicked")
-            ),
-        ),
+        Err(body) => body,
         Ok(Err(error)) => error.body(),
         Ok(Ok(body)) => body,
     }
@@ -449,10 +444,7 @@ fn run_batch(
     batch: &BatchRequest,
     deadline: Instant,
 ) -> Response {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(Fault::Panic(message)) = &fault {
-            panic!("{}", message.clone());
-        }
+    let outcome = contained(fault.as_ref(), || {
         let jobs = &batch.jobs;
         let fanout = jobs
             .len()
@@ -484,9 +476,9 @@ fn run_batch(
                 .collect();
         }
         batch_body(&slots)
-    }));
+    });
     match outcome {
-        Err(payload) => panic_response(&*payload),
+        Err(body) => internal_response(body),
         Ok(body) => Response::ok(body),
     }
 }

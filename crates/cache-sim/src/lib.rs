@@ -14,7 +14,9 @@
 //!   write-back, write-allocate, with optional per-word usage and
 //!   per-core sharer tracking.
 //! * [`SectoredCache`] — sector-granularity fetching ([`SectoredFill`],
-//!   Section 6.2).
+//!   Section 6.2); with
+//!   [`with_footprint_prediction`](PipelineCache::with_footprint_prediction)
+//!   a [`FootprintPredictor`] prefetches each line's last-used sectors.
 //! * [`CompressedCache`] — byte-budget sets over any
 //!   `bandwall_compress::Compressor` ([`CompressedFill`], Section 6.1).
 //! * [`SectoredCompressedCache`] — both composed
@@ -53,7 +55,6 @@ mod cmp;
 mod coherence;
 mod compressed;
 mod config;
-mod footprint;
 mod hierarchy;
 mod memory;
 mod parallel;
@@ -66,7 +67,6 @@ pub use cmp::{CmpSystem, L2Organization};
 pub use coherence::{CoherenceStats, CoherentCmp};
 pub use compressed::CompressedCache;
 pub use config::{CacheConfig, ConfigError, ReplacementPolicy};
-pub use footprint::PredictiveSectoredCache;
 pub use hierarchy::{InclusionPolicy, TwoLevelHierarchy};
 pub use memory::{simulate_throughput, DramChannel, ThroughputSimConfig, ThroughputSimResult};
 pub use parallel::{
@@ -74,8 +74,8 @@ pub use parallel::{
     EngineSimStats, Partitioning,
 };
 pub use pipeline::{
-    CompressedFill, CompressorKind, Fill, FillSpec, FullLineFill, PipelineCache, ProfileKind,
-    SectoredCompressedFill, SectoredFill, ValueSpec,
+    CompressedFill, CompressorKind, Fill, FillSpec, FootprintPredictor, FullLineFill,
+    PipelineCache, ProfileKind, SectoredCompressedFill, SectoredFill, ValueSpec,
 };
 pub use sectored::SectoredCache;
 pub use stats::{CacheStats, MemoryTraffic, SharingStats, WordUsageStats};

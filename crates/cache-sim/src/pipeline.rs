@@ -14,8 +14,9 @@
 //! * set/way lookup and replacement (LRU, FIFO, Random, tree-PLRU);
 //! * a stack of composable observers — hit/miss/eviction statistics,
 //!   fetch/write-back traffic, compression statistics, optional word-usage
-//!   and sharer tracking — with a **single** copy of the eviction and
-//!   write-back bookkeeping ([`ObserverStack::retire`]);
+//!   and sharer tracking, and an optional [`FootprintPredictor`] — with a
+//!   **single** copy of the eviction and write-back bookkeeping
+//!   ([`ObserverStack::retire`]);
 //! * cold-miss classification and the replacement-policy RNG.
 //!
 //! Random replacement draws from a **per-set** RNG stream derived from
@@ -38,7 +39,9 @@
 //!   variant could express.
 //!
 //! The historical types are thin aliases over this engine (see
-//! `cache.rs`, `sectored.rs`, `compressed.rs`).
+//! `cache.rs`, `sectored.rs`, `compressed.rs`). The last-footprint
+//! predictive sectored cache is a `SectoredCache` built with
+//! [`with_footprint_prediction`](PipelineCache::with_footprint_prediction).
 
 use crate::config::{CacheConfig, ReplacementPolicy};
 use crate::stats::{CacheStats, MemoryTraffic, SharingStats, WordUsageStats};
@@ -616,6 +619,63 @@ enum Storage {
     },
 }
 
+/// A last-footprint spatial predictor for sectored fills.
+///
+/// The paper's sectored-cache technique (§6.2) assumes "only sectors that
+/// will be referenced by the processor are fetched", citing
+/// spatial-pattern predictors (Chen et al. \[9\], Kumar & Wilkerson \[17\],
+/// Pujara & Aggarwal \[21\]). This observer implements that mechanism: a
+/// footprint table remembers which sectors of a line were used during its
+/// previous residency, and the next miss on that line fetches the
+/// footprint along with the demanded sector. Mispredictions show up as
+/// *overfetch* (predicted sectors never used) or as extra sector misses
+/// (used sectors not predicted).
+#[derive(Debug, Clone, Default)]
+pub struct FootprintPredictor {
+    /// Last observed footprint (sector mask) per line address.
+    table: HashMap<u64, u64>,
+    /// Sectors prefetched beyond the demanded one.
+    predicted_sectors: u64,
+    overfetched_sectors: u64,
+}
+
+impl FootprintPredictor {
+    /// Fetched sectors that left the cache without being referenced.
+    pub fn overfetched_sectors(&self) -> u64 {
+        self.overfetched_sectors
+    }
+
+    /// Of all predictor-prefetched sectors, the fraction never used before
+    /// eviction (wasted bandwidth; 0 for a perfect predictor).
+    pub fn overfetch_fraction(&self) -> f64 {
+        if self.predicted_sectors == 0 {
+            0.0
+        } else {
+            self.overfetched_sectors as f64 / self.predicted_sectors as f64
+        }
+    }
+
+    /// The sectors to fetch on a miss of line `tag` demanding `sector_bit`.
+    fn predict(&mut self, tag: u64, sector_bit: u64) -> u64 {
+        let predicted = self.table.get(&tag).copied().unwrap_or(0);
+        self.predicted_sectors += u64::from((predicted & !sector_bit).count_ones());
+        predicted | sector_bit
+    }
+
+    /// Learns a retiring line's footprint: its referenced words folded
+    /// into sectors.
+    fn train(&mut self, tag: u64, old: &LineMeta, sector_size: u64) {
+        let words_per_sector = (sector_size / 8) as u32;
+        let (mut used, mut words) = (0u64, old.word_mask);
+        while words != 0 {
+            used |= 1 << (words.trailing_zeros() / words_per_sector);
+            words &= words - 1;
+        }
+        self.overfetched_sectors += u64::from((old.valid_sectors & !used).count_ones());
+        self.table.insert(tag, used);
+    }
+}
+
 /// The composable observer stack: every statistic the engine maintains,
 /// borrowed together so the eviction/write-back accounting lives in
 /// exactly one place ([`ObserverStack::retire`]).
@@ -624,6 +684,7 @@ struct ObserverStack<'a> {
     traffic: &'a mut MemoryTraffic,
     word_usage: Option<&'a mut WordUsageStats>,
     sharing: Option<&'a mut SharingStats>,
+    footprint: Option<&'a mut FootprintPredictor>,
 }
 
 impl ObserverStack<'_> {
@@ -645,6 +706,9 @@ impl ObserverStack<'_> {
         if let Some(sharing) = self.sharing.as_deref_mut() {
             sharing.record_eviction(ev.sharers);
         }
+        if let Some(footprint) = self.footprint.as_deref_mut() {
+            footprint.train(tag, old, sector_size);
+        }
         if ev.dirty {
             self.traffic.record_writeback(ev.writeback_bytes);
         }
@@ -663,6 +727,7 @@ impl ObserverStack<'_> {
 /// | `SectoredCache` | [`SectoredFill`] |
 /// | `CompressedCache` | [`CompressedFill`] |
 /// | `SectoredCompressedCache` | [`SectoredCompressedFill`] |
+/// | `SectoredCache` + [`with_footprint_prediction`](Self::with_footprint_prediction) | [`SectoredFill`] + [`FootprintPredictor`] |
 ///
 /// # Examples
 ///
@@ -695,6 +760,7 @@ pub struct PipelineCache<F: Fill = FullLineFill> {
     conventional_fetch_bytes: u64,
     word_usage: Option<WordUsageStats>,
     sharing: Option<SharingStats>,
+    footprint: Option<FootprintPredictor>,
     seen_lines: HashSet<u64>,
     tick: u64,
     /// Reusable payload buffer for generator-backed size computation, so
@@ -775,6 +841,7 @@ impl<F: Fill> PipelineCache<F> {
             conventional_fetch_bytes: 0,
             word_usage: None,
             sharing: None,
+            footprint: None,
             seen_lines: HashSet::new(),
             tick: 0,
             scratch: Vec::new(),
@@ -801,6 +868,33 @@ impl<F: Fill> PipelineCache<F> {
     #[must_use]
     pub fn with_sharer_tracking(mut self) -> Self {
         self.sharing = Some(SharingStats::new());
+        self
+    }
+
+    /// Enables last-footprint prediction (see [`FootprintPredictor`]): a
+    /// line miss fetches the demanded sector plus the sectors the line
+    /// used during its previous residency.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a byte-budgeted (compressed) fill, for sectors smaller
+    /// than one 8-byte word, or for lines of more than 64 words — the
+    /// footprint is learned from the per-word usage mask.
+    #[must_use]
+    pub fn with_footprint_prediction(mut self) -> Self {
+        assert!(
+            !self.fill.budgeted(),
+            "footprint prediction needs slotted (non-compressed) storage"
+        );
+        assert!(
+            self.sector_size >= 8,
+            "footprint sectors must be at least 8 bytes"
+        );
+        assert!(
+            self.config.words_per_line() <= 64,
+            "footprint prediction tracks at most 64 words per line"
+        );
+        self.footprint = Some(FootprintPredictor::default());
         self
     }
 
@@ -911,6 +1005,11 @@ impl<F: Fill> PipelineCache<F> {
         self.sharing.as_ref()
     }
 
+    /// The footprint predictor, if prediction is enabled.
+    pub fn footprint(&self) -> Option<&FootprintPredictor> {
+        self.footprint.as_ref()
+    }
+
     /// Number of currently resident lines.
     pub fn resident_lines(&self) -> usize {
         match &self.storage {
@@ -1008,6 +1107,7 @@ impl<F: Fill> PipelineCache<F> {
             conventional_fetch_bytes,
             word_usage,
             sharing,
+            footprint,
             seen_lines,
             set_rngs,
             scratch,
@@ -1024,6 +1124,7 @@ impl<F: Fill> PipelineCache<F> {
             traffic,
             word_usage: word_usage.as_mut(),
             sharing: sharing.as_mut(),
+            footprint: footprint.as_mut(),
         };
         let mut evictions = Evictions::None;
 
@@ -1068,10 +1169,16 @@ impl<F: Fill> PipelineCache<F> {
                     };
                 }
 
-                // Line miss: classify, choose a frame, fill.
+                // Line miss: classify, choose a frame, fill the demanded
+                // sector (plus the predicted footprint, if predicting).
                 let cold = seen_lines.insert(tag);
                 observers.stats.record_miss(cold);
-                observers.traffic.record_fetch(sector_size);
+                let fetch_mask = match observers.footprint.as_deref_mut() {
+                    Some(footprint) => footprint.predict(tag, sector_bit),
+                    None => sector_bit,
+                };
+                let fetched = u64::from(fetch_mask.count_ones()) * sector_size;
+                observers.traffic.record_fetch(fetched);
                 *conventional_fetch_bytes += line_size;
                 let occ = sets.occupied[set_idx];
                 let first_empty = (!occ).trailing_zeros() as usize;
@@ -1102,7 +1209,7 @@ impl<F: Fill> PipelineCache<F> {
                 }
                 sets.tags[base + victim_way] = tag;
                 sets.meta[base + victim_way] = LineMeta {
-                    valid_sectors: sector_bit,
+                    valid_sectors: fetch_mask,
                     dirty_sectors: if is_write { sector_bit } else { 0 },
                     last_used: tick,
                     inserted: tick,
@@ -1116,7 +1223,7 @@ impl<F: Fill> PipelineCache<F> {
                 }
                 AccessOutcome {
                     hit: false,
-                    fetched_bytes: sector_size,
+                    fetched_bytes: fetched,
                     evictions,
                 }
             }
@@ -1356,6 +1463,7 @@ impl<F: Fill> PipelineCache<F> {
             traffic: &mut self.traffic,
             word_usage: self.word_usage.as_mut(),
             sharing: self.sharing.as_mut(),
+            footprint: self.footprint.as_mut(),
         }
     }
 }
@@ -1618,6 +1726,7 @@ mod tests {
                 traffic: &mut traffic,
                 word_usage: None,
                 sharing: None,
+                footprint: None,
             };
             let mut evictions = Evictions::None;
             let mut rng = Rng::seed_from_stream(0, 0);

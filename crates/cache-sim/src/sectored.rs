@@ -6,7 +6,9 @@
 //! processor asked for, so unused words never cross the memory link. The
 //! cache frame is still allocated at line granularity — exactly the
 //! paper's assumption that sectoring reduces *traffic* but not *capacity*
-//! pressure.
+//! pressure. `SectoredCache::new(config, n).with_footprint_prediction()`
+//! adds the last-footprint predictor that makes the paper's "fetch only
+//! the sectors that will be referenced" implementable.
 
 #[cfg(test)]
 use crate::config::CacheConfig;
@@ -124,5 +126,125 @@ mod tests {
         assert_eq!(c.sectors_per_line(), 8);
         assert_eq!(c.config().line_size(), 64);
         assert_eq!(c.sector_misses(), 0);
+        assert!(c.footprint().is_none());
+        let p = predictive();
+        assert_eq!(p.footprint().unwrap().overfetch_fraction(), 0.0);
+    }
+
+    fn predictive() -> SectoredCache {
+        cache().with_footprint_prediction()
+    }
+
+    /// Drives line 0 out of set 0 by touching two conflicting lines.
+    fn evict_line_zero(c: &mut SectoredCache) {
+        c.access(8 * 64, false);
+        c.access(16 * 64, false);
+    }
+
+    #[test]
+    fn predictive_first_residency_fetches_on_demand() {
+        let mut c = predictive();
+        c.access(0, false);
+        c.access(8, false);
+        assert_eq!(c.traffic().fetched_bytes(), 16, "two sectors on demand");
+    }
+
+    #[test]
+    fn predictive_second_residency_prefetches_learned_footprint() {
+        let mut c = predictive();
+        c.access(0, false); // sector 0
+        c.access(8, false); // sector 1
+        evict_line_zero(&mut c);
+        let before = c.traffic().fetched_bytes();
+        let outcome = c.access(0, false);
+        assert!(!outcome.is_hit(), "line miss");
+        // Footprint {0,1} fetched at once.
+        assert_eq!(outcome.fetched_bytes(), 16);
+        assert_eq!(c.traffic().fetched_bytes() - before, 16);
+        assert!(c.access(8, false).is_hit(), "prefetched sector hits");
+    }
+
+    #[test]
+    fn predictive_overfetch_tracked_when_behaviour_changes() {
+        let mut c = predictive();
+        // Residency 1 uses sectors 0..4.
+        for s in 0..4u64 {
+            c.access(s * 8, false);
+        }
+        evict_line_zero(&mut c);
+        // Residency 2 uses only sector 0; 3 prefetched sectors wasted.
+        c.access(0, false);
+        evict_line_zero(&mut c);
+        let footprint = c.footprint().unwrap();
+        assert_eq!(footprint.overfetched_sectors(), 3);
+        assert!(footprint.overfetch_fraction() > 0.9);
+    }
+
+    #[test]
+    fn predictive_stable_footprints_match_oracle_savings() {
+        // Every line always uses its first 3 of 8 sectors. After
+        // training, savings approach the oracle 5/8.
+        let mut c = SectoredCache::new(CacheConfig::new(512, 64, 1).unwrap(), 8)
+            .with_footprint_prediction();
+        for _ in 0..20 {
+            for line in 0..64u64 {
+                for s in 0..3u64 {
+                    c.access(line * 64 + s * 8, false);
+                }
+            }
+        }
+        let savings = c.fetch_savings();
+        assert!(
+            (savings - 5.0 / 8.0).abs() < 0.02,
+            "savings {savings}, oracle 0.625"
+        );
+        assert!(c.footprint().unwrap().overfetch_fraction() < 0.01);
+    }
+
+    #[test]
+    fn predictive_dirty_sectors_written_back() {
+        let mut c = predictive();
+        c.access(0, true);
+        evict_line_zero(&mut c);
+        assert_eq!(c.traffic().written_bytes(), 8);
+    }
+
+    #[test]
+    fn predictor_reduces_sector_misses_vs_plain_sectored() {
+        let config = CacheConfig::new(2048, 64, 2).unwrap();
+        let mut plain = SectoredCache::new(config, 8);
+        let mut predictive = SectoredCache::new(config, 8).with_footprint_prediction();
+        // Loop over 64 lines touching 4 sectors each, several rounds.
+        for _ in 0..10 {
+            for line in 0..64u64 {
+                for s in 0..4u64 {
+                    plain.access(line * 64 + s * 8, false);
+                    predictive.access(line * 64 + s * 8, false);
+                }
+            }
+        }
+        assert!(
+            predictive.stats().misses() < plain.stats().misses(),
+            "predictive {} vs plain {}",
+            predictive.stats().misses(),
+            plain.stats().misses()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 8 bytes")]
+    fn predictive_sub_word_sectors_panic() {
+        let _ = SectoredCache::new(CacheConfig::new(512, 64, 2).unwrap(), 16)
+            .with_footprint_prediction();
+    }
+
+    #[test]
+    #[should_panic(expected = "slotted")]
+    fn predictive_budgeted_fill_panics() {
+        let _ = crate::CompressedCache::new(
+            CacheConfig::new(512, 64, 2).unwrap(),
+            Box::new(bandwall_compress::Fpc::new()),
+        )
+        .with_footprint_prediction();
     }
 }

@@ -153,6 +153,18 @@ fn sectored_never_fetches_more() {
         assert!(c.traffic().fetched_bytes() <= c.conventional_fetch_bytes());
         let savings = c.fetch_savings();
         assert!((0.0..1.0).contains(&savings) || savings == 0.0);
+
+        // The footprint predictor prefetches, but never beyond whole lines.
+        let config = CacheConfig::new(1024, 64, 4)
+            .unwrap()
+            .with_policy(any_policy(&mut rng));
+        let mut p = SectoredCache::new(config, sectors).with_footprint_prediction();
+        for &(line, write) in &stream {
+            p.access(line * 64 + rng.gen_range(0..64u64), write);
+        }
+        assert!(p.traffic().fetched_bytes() <= p.conventional_fetch_bytes());
+        let overfetch = p.footprint().unwrap().overfetch_fraction();
+        assert!((0.0..=1.0).contains(&overfetch), "overfetch {overfetch}");
     }
 }
 

@@ -44,13 +44,20 @@ fn noise_line(i: u64) -> Vec<u8> {
 fn one_sector_per_line_matches_conventional_exactly() {
     let mut plain = Cache::new(config());
     let mut sectored = SectoredCache::new(config(), 1);
+    // A one-sector footprint is the whole line: prediction changes nothing.
+    let mut predictive = SectoredCache::new(config(), 1).with_footprint_prediction();
     for (addr, is_write) in stream() {
         plain.access(addr, is_write);
         sectored.access(addr, is_write);
+        predictive.access(addr, is_write);
     }
-    assert_eq!(plain.stats(), sectored.stats());
-    assert_eq!(plain.traffic(), sectored.traffic());
-    assert_eq!(plain.flush(), sectored.flush());
+    for other in [&mut sectored, &mut predictive] {
+        assert_eq!(plain.stats(), other.stats());
+        assert_eq!(plain.traffic(), other.traffic());
+    }
+    let flushed = plain.flush();
+    assert_eq!(flushed, sectored.flush());
+    assert_eq!(flushed, predictive.flush());
 }
 
 #[test]

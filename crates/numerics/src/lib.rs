@@ -10,7 +10,7 @@
 //!   number of supportable cores under a traffic envelope.
 //! * [`regression`] — ordinary least squares and log–log power-law fitting
 //!   (the `m = m0 · (C/C0)^-α` fit of Figure 1 of the paper).
-//! * [`stats`] — summary statistics (mean, variance, quantiles, geometric
+//! * [`stats`] — summary statistics (mean, variance, percentiles, geometric
 //!   mean) used throughout the experiment harness.
 //! * [`rng`] — a deterministic xoshiro256++ generator used by the
 //!   synthetic trace generators and randomized tests.

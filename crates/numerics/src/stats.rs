@@ -1,8 +1,8 @@
 //! Summary statistics used by the experiment harness.
 //!
 //! Small, allocation-light helpers over `&[f64]`: arithmetic and geometric
-//! means, sample variance/standard deviation, and quantiles with linear
-//! interpolation. All functions return `None` on empty input rather than
+//! means, sample variance/standard deviation, and the nearest-rank
+//! percentile. All functions return `None` on empty input rather than
 //! panicking so experiment code can surface missing data explicitly.
 
 /// Arithmetic mean. Returns `None` for an empty slice.
@@ -77,46 +77,27 @@ pub fn std_dev(values: &[f64]) -> Option<f64> {
     variance(values).map(f64::sqrt)
 }
 
-/// Quantile `q` in `[0, 1]` with linear interpolation between order
-/// statistics (the common "type 7" definition).
+/// Nearest-rank percentile: the smallest element of an ascending `sorted`
+/// slice with at least a fraction `q` of the elements at or below it —
+/// always one of the samples, never an interpolation. `q` is clamped to
+/// `[0, 1]`, so `q = 0` gives the minimum and `q = 1` the maximum.
 ///
-/// Returns `None` for an empty slice or `q` outside `[0, 1]`.
-///
-/// # Examples
-///
-/// ```
-/// use bandwall_numerics::stats::quantile;
-/// let data = [1.0, 2.0, 3.0, 4.0];
-/// assert_eq!(quantile(&data, 0.0), Some(1.0));
-/// assert_eq!(quantile(&data, 1.0), Some(4.0));
-/// assert_eq!(quantile(&data, 0.5), Some(2.5));
-/// ```
-pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
-    if values.is_empty() || !(0.0..=1.0).contains(&q) {
-        return None;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        return Some(sorted[lo]);
-    }
-    let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Median (the 0.5 quantile). Returns `None` for an empty slice.
+/// Returns `None` for an empty slice.
 ///
 /// # Examples
 ///
 /// ```
-/// use bandwall_numerics::stats::median;
-/// assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
+/// use bandwall_numerics::stats::percentile;
+/// let sorted = [10, 20, 30, 40, 50];
+/// assert_eq!(percentile(&sorted, 0.0), Some(10));
+/// assert_eq!(percentile(&sorted, 0.5), Some(30));
+/// assert_eq!(percentile(&sorted, 0.9), Some(50));
+/// assert_eq!(percentile::<u64>(&[], 0.5), None);
 /// ```
-pub fn median(values: &[f64]) -> Option<f64> {
-    quantile(values, 0.5)
+pub fn percentile<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let n = sorted.len();
+    let rank = (q * n as f64).ceil() as usize;
+    sorted.get(rank.clamp(1, n.max(1)) - 1).copied()
 }
 
 /// Minimum of a slice. Returns `None` when empty.
@@ -155,23 +136,14 @@ mod tests {
     }
 
     #[test]
-    fn quantile_interpolates() {
+    fn percentile_is_nearest_rank() {
         let data = [10.0, 20.0, 30.0, 40.0, 50.0];
-        assert_eq!(quantile(&data, 0.25), Some(20.0));
-        assert_eq!(quantile(&data, 0.1), Some(14.0));
-        assert_eq!(quantile(&data, 2.0), None);
-        assert_eq!(quantile(&[], 0.5), None);
-    }
-
-    #[test]
-    fn quantile_unsorted_input() {
-        let data = [50.0, 10.0, 40.0, 20.0, 30.0];
-        assert_eq!(quantile(&data, 0.5), Some(30.0));
-    }
-
-    #[test]
-    fn median_even_length() {
-        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), Some(2.5));
+        assert_eq!(percentile(&data, 0.25), Some(20.0));
+        assert_eq!(percentile(&data, 0.1), Some(10.0));
+        assert_eq!(percentile(&data, 2.0), Some(50.0));
+        assert_eq!(percentile(&data, -1.0), Some(10.0));
+        // Even length: the lower middle, not an interpolation.
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.5), Some(2.0));
     }
 
     #[test]
@@ -188,6 +160,6 @@ mod tests {
         assert_eq!(mean(&[7.0]), Some(7.0));
         assert_eq!(variance(&[7.0]), None);
         assert_eq!(std_dev(&[7.0]), None);
-        assert_eq!(quantile(&[7.0], 0.99), Some(7.0));
+        assert_eq!(percentile(&[7.0], 0.99), Some(7.0));
     }
 }

@@ -4,8 +4,8 @@
 //! compressor.
 
 use bandwidth_wall::cache_sim::{
-    simulate_throughput, CacheConfig, InclusionPolicy, PredictiveSectoredCache,
-    ThroughputSimConfig, TwoLevelHierarchy,
+    simulate_throughput, CacheConfig, InclusionPolicy, SectoredCache, ThroughputSimConfig,
+    TwoLevelHierarchy,
 };
 use bandwidth_wall::compress::{BestOf, Compressor};
 use bandwidth_wall::model::mix::{WorkloadClass, WorkloadMix};
@@ -106,10 +106,11 @@ fn exclusive_hierarchy_matches_larger_effective_cache() {
 fn footprint_predictor_learns_pointer_chase_payloads() {
     // A pointer chase touching 3 words per node: after one lap the
     // predictor prefetches each node's footprint in one go.
-    let mut cache = PredictiveSectoredCache::new(
+    let mut cache = SectoredCache::new(
         CacheConfig::new(16 << 10, 64, 8).unwrap(), // 256 lines
         8,
-    );
+    )
+    .with_footprint_prediction();
     let mut chase = PointerChaseTrace::builder(1024) // working set 4x cache
         .payload_words(2)
         .seed(6)
@@ -124,7 +125,7 @@ fn footprint_predictor_learns_pointer_chase_payloads() {
         (savings - 0.625).abs() < 0.1,
         "savings {savings} should approach the 0.625 oracle"
     );
-    assert!(cache.overfetch_fraction() < 0.05);
+    assert!(cache.footprint().map(|f| f.overfetch_fraction()).unwrap() < 0.05);
 }
 
 #[test]
